@@ -29,10 +29,10 @@ def run_sweep():
             loss_probability=LOSS, slack_factor=slack,
             retransmission_enabled=False, horizon=HORIZON, seed=2))
         sent = len(result.service.trace.select("update_sent"))
-        table.add_row(slack, sent, to_ms(result.avg_max_distance),
-                      to_ms(result.avg_inconsistency))
-        rows.append((slack, sent, result.avg_max_distance,
-                     result.avg_inconsistency))
+        table.add_row(slack, sent, to_ms(result.metrics.avg_max_distance),
+                      to_ms(result.metrics.avg_inconsistency))
+        rows.append((slack, sent, result.metrics.avg_max_distance,
+                     result.metrics.avg_inconsistency))
     return table, rows
 
 

@@ -28,7 +28,7 @@ def run_catalogue():
         n_faults = len(injector.applied) if injector is not None else 0
         n_violations = len(run.violations)
         n_unexpected = len(run.unexpected_violations())
-        delivery = run.result.delivery_rate
+        delivery = run.result.metrics.delivery_rate
         table.add_row(name, n_faults, n_violations, n_unexpected,
                       round(delivery, 3))
         rows[name] = (n_faults, n_violations, n_unexpected)

@@ -24,7 +24,7 @@ from repro.bench.compare import compare_documents
 from repro.bench.registry import SCENARIOS
 from repro.bench.runner import run_suite
 from repro.metrics.jsonio import stable_dumps
-from repro.parallel import resolve_jobs
+from repro.parallel import cli
 
 
 def _git_rev() -> str:
@@ -138,10 +138,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for chunk in args.only:
         names.extend(name for name in chunk.split(",") if name)
     rev = args.rev if args.rev is not None else _git_rev()
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    jobs = cli.jobs(parser, args)
     if args.profile and jobs > 1:
         parser.error("--profile requires --jobs 1 (profiles are per-process)")
     if args.profile and args.repeat > 1:
@@ -157,13 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              repeat=args.repeat)
     except KeyError as exc:
         parser.error(str(exc.args[0]) if exc.args else str(exc))
-    text = stable_dumps(document)
     output = args.output or f"BENCH_{rev}.json"
-    try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError as exc:
-        parser.error(f"cannot write --output {output}: {exc}")
+    cli.emit(parser, output, document)
     print(output)
     if profiles is not None:
         profile_doc = {

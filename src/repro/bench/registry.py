@@ -299,9 +299,9 @@ def service_run(quick: bool) -> BenchStats:
         peak_live_events=_peak_live(sim),
         trace_records=len(result.service.trace),
         digest=result.service.trace.digest(),
-        extra={"admitted": result.admitted,
-               "responses": result.response.count,
-               "delivery_rate": result.delivery_rate},
+        extra={"admitted": result.metrics.admitted,
+               "responses": result.metrics.response.count,
+               "delivery_rate": result.metrics.delivery_rate},
     )
 
 
@@ -337,7 +337,7 @@ def fastpath_steady(quick: bool) -> BenchStats:
         if peak is not None:
             peaks.append(peak)
         hasher.update(result.service.trace.digest().encode())
-        means[replication] = round(result.response.mean * 1e6, 1)
+        means[replication] = round(result.metrics.response.mean * 1e6, 1)
         if replication == "eager_fastpath":
             hit_rate = round(result.metrics.fastpath_hit_rate, 6)
     return BenchStats(
@@ -522,10 +522,10 @@ def cluster_steady(quick: bool) -> BenchStats:
         peak_live_events=_peak_live(service.sim),
         trace_records=len(service.trace),
         digest=service.trace.digest(),
-        extra={"admitted": result.admitted,
-               "responses": result.response.count,
+        extra={"admitted": result.metrics.admitted,
+               "responses": result.metrics.response.count,
                "groups": len(result.per_group),
-               "delivery_rate": result.delivery_rate},
+               "delivery_rate": result.metrics.delivery_rate},
     )
 
 
@@ -569,7 +569,7 @@ def cluster_failover(quick: bool) -> BenchStats:
         peak_live_events=_peak_live(service.sim),
         trace_records=len(service.trace),
         digest=service.trace.digest(),
-        extra={"admitted": result.admitted,
+        extra={"admitted": result.metrics.admitted,
                "failovers": failovers,
                "replacements": replacements,
                "violations": sum(result.monitor.violation_counts().values())},

@@ -27,9 +27,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.harness import ClusterRunResult, run_cluster_scenario
 from repro.faults.schedule import FaultSchedule
-from repro.metrics.jsonio import stable_dumps
-from repro.parallel import resolve_jobs, run_specs
-from repro.parallel.spec import RunSpec
+from repro.parallel import cli
+from repro.parallel.spec import RunOutcome, RunSpec
 from repro.workload.cluster import ClusterScenario
 
 
@@ -53,10 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for a single run (default 0)")
     parser.add_argument("--seeds", type=int, nargs="+", metavar="SEED",
                         help="sweep mode: one run per seed")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="sweep workers (0 = one per CPU; default: "
-                             "$REPRO_JOBS or 1); digests are identical "
-                             "for any value")
     parser.add_argument("--crash", action="append", default=[],
                         metavar="TIME:TARGET",
                         help="crash a server, e.g. 3.0:g00/primary "
@@ -71,10 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(repeatable)")
     parser.add_argument("--monitor", action="store_true",
                         help="attach the per-group invariant monitor")
-    parser.add_argument("--warmup", type=float, default=2.0,
-                        help="seconds excluded from metrics (default 2.0)")
-    parser.add_argument("--output", metavar="PATH",
-                        help="write the JSON document here instead of stdout")
+    cli.add_arguments(parser)
     return parser
 
 
@@ -139,24 +131,15 @@ def _single_document(result: ClusterRunResult) -> Dict[str, Any]:
     return document
 
 
-def _sweep_document(args: argparse.Namespace, jobs: int,
-                    schedule: Optional[FaultSchedule]) -> Dict[str, Any]:
-    specs = [RunSpec(scenario=_scenario(args, seed), warmup=args.warmup,
-                     monitor=args.monitor, fault_schedule=schedule,
-                     key=("cluster", seed))
-             for seed in args.seeds]
-    outcomes = run_specs(specs, jobs=jobs)
+def _sweep_row(outcome: RunOutcome) -> Dict[str, Any]:
     return {
-        "jobs": jobs,
-        "runs": [{
-            "seed": outcome.scenario.seed,
-            "digest": outcome.trace_digest,
-            "events": outcome.events_executed,
-            "trace_records": outcome.trace_records,
-            "admitted": outcome.admitted,
-            "network": outcome.network,
-            "violation_counts": outcome.violation_counts,
-        } for outcome in outcomes],
+        "seed": outcome.scenario.seed,
+        "digest": outcome.trace_digest,
+        "events": outcome.events_executed,
+        "trace_records": outcome.trace_records,
+        "admitted": outcome.metrics.admitted,
+        "network": outcome.network,
+        "violation_counts": outcome.violation_counts,
     }
 
 
@@ -165,25 +148,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     schedule = _parse_schedule(args, parser)
     if args.seeds:
-        try:
-            jobs = resolve_jobs(args.jobs)
-        except ValueError as exc:
-            parser.error(str(exc))
-        document = _sweep_document(args, jobs, schedule)
-    else:
-        result = run_cluster_scenario(
-            _scenario(args, args.seed), warmup=args.warmup,
-            fault_schedule=schedule, monitor=args.monitor)
-        document = _single_document(result)
-    text = stable_dumps(document)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            parser.error(f"cannot write --output {args.output}: {exc}")
-    else:
-        print(text)
+        specs = [RunSpec(scenario=_scenario(args, seed), warmup=args.warmup,
+                         monitor=args.monitor, fault_schedule=schedule,
+                         key=("cluster", seed))
+                 for seed in args.seeds]
+        return cli.sweep(parser, args, specs, _sweep_row)
+    result = run_cluster_scenario(
+        _scenario(args, args.seed), warmup=args.warmup,
+        fault_schedule=schedule, monitor=args.monitor)
+    cli.emit(parser, args.output, _single_document(result))
     return 0
 
 

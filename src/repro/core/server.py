@@ -503,7 +503,7 @@ class ReplicaServer:
                 self.endpoint.send(source_address, self.port,
                                    self.ping.make_ack(message))
             elif isinstance(message, PingAckMsg):
-                self.ping.handle_ack(message)
+                self._on_ping_ack(message, source_address)
             elif isinstance(message, RetxRequestMsg):
                 self._handle_retx_request(message)
             elif isinstance(message, RegisterMsg):
@@ -525,6 +525,9 @@ class ReplicaServer:
             # owns; a reply aimed there is a dropped packet, not a fault
             # in this server.
             self.sim.trace.record("rtpb_garbled", server=self.name)
+
+    def _on_ping_ack(self, message: PingAckMsg, source_address: int) -> None:
+        self.ping.handle_ack(message)
 
     # -- backup side ------------------------------------------------------
 

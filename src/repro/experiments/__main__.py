@@ -22,7 +22,7 @@ import time
 from typing import Callable, List, Optional
 
 from repro.experiments import figures
-from repro.parallel import resolve_jobs
+from repro.parallel import cli
 from repro.units import ms
 
 FIGURES = {
@@ -106,10 +106,7 @@ def run_figure(name: str, args: argparse.Namespace, *,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.jobs = resolve_jobs(args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    args.jobs = cli.jobs(parser, args)
     if args.figure == "list":
         for name, func in sorted(FIGURES.items()):
             summary = (func.__doc__ or "").strip().splitlines()[0]

@@ -213,7 +213,7 @@ def figure8_distance_vs_loss(
         for period in write_periods for loss in loss_probabilities
     ]
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.avg_max_distance)
+                  lambda outcome: outcome.metrics.avg_max_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def _distance_series(name: str, object_counts: Sequence[int],
         for window in windows for count in object_counts
     ]
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.avg_max_distance)
+                  lambda outcome: outcome.metrics.avg_max_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def _inconsistency_series(name: str, loss_probabilities: Sequence[float],
         for window in windows for loss in loss_probabilities
     ]
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.avg_inconsistency)
+                  lambda outcome: outcome.metrics.avg_inconsistency)
 
 
 # ---------------------------------------------------------------------------

@@ -119,18 +119,13 @@ class RunMetrics:
     #: Writes completed degraded (backup died before acking; eager only).
     degraded_responses: int = 0
 
-    @property
-    def mean_response(self) -> float:
-        return self.response.mean
-
 
 @dataclass
 class RunResult:
     """Everything the figures need from one finished run.
 
-    The metric fields are exposed both as ``result.metrics`` (the picklable
-    :class:`RunMetrics`) and as flat read-only properties for the original
-    ``result.response`` / ``result.admitted`` call sites.
+    The metric fields live on ``result.metrics`` (the picklable
+    :class:`RunMetrics`).
     """
 
     scenario: "Scenario | ClusterScenario"
@@ -139,34 +134,6 @@ class RunResult:
     #: Set on chaos runs: the armed injector and the online monitor.
     injector: Optional[FaultInjector] = None
     monitor: "InvariantMonitor | ClusterInvariantMonitor | None" = None
-
-    @property
-    def admitted(self) -> int:
-        return self.metrics.admitted
-
-    @property
-    def response(self) -> SummaryStats:
-        return self.metrics.response
-
-    @property
-    def starved_writes(self) -> int:
-        return self.metrics.starved_writes
-
-    @property
-    def avg_max_distance(self) -> float:
-        return self.metrics.avg_max_distance
-
-    @property
-    def avg_inconsistency(self) -> float:
-        return self.metrics.avg_inconsistency
-
-    @property
-    def delivery_rate(self) -> float:
-        return self.metrics.delivery_rate
-
-    @property
-    def mean_response(self) -> float:
-        return self.metrics.response.mean
 
 
 def run_scenario(scenario: "Scenario | ClusterScenario", warmup: float = 2.0,

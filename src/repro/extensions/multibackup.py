@@ -36,6 +36,7 @@ from repro.core.failure import CrashInjector, PingManager
 from repro.core.name_service import NameService
 from repro.core.rtpb_protocol import (
     RTPB_PORT,
+    PingAckMsg,
     RegisterAckMsg,
     RegisterMsg,
     UpdateMsg,
@@ -194,19 +195,12 @@ class MultiBackupServer(ReplicaServer):
         if manager is not None:
             manager.handle_ack(ack)
 
-    def _on_datagram(self, data: bytes, source: tuple, info: dict) -> None:
-        # Route ping acks to the per-backup manager when we are primary.
-        if self.alive and self.role is Role.PRIMARY and self._backup_pings:
-            from repro.core.rtpb_protocol import PingAckMsg, decode_message
-
-            try:
-                message = decode_message(data)
-            except Exception:
-                message = None
-            if isinstance(message, PingAckMsg):
-                self.handle_ping_ack_from(source[0], message)
-                return
-        super()._on_datagram(data, source, info)
+    def _on_ping_ack(self, message: PingAckMsg, source_address: int) -> None:
+        # Acks go to the per-backup manager while we are primary.
+        if self.role is Role.PRIMARY and self._backup_pings:
+            self.handle_ping_ack_from(source_address, message)
+        else:
+            super()._on_ping_ack(message, source_address)
 
     # ------------------------------------------------------------------
     # Failover (backup side)

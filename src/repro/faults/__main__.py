@@ -21,8 +21,7 @@ from typing import List, Optional
 
 from repro.faults.report import report_dict, run_chaos, run_matrix
 from repro.faults.scenarios import SCENARIOS
-from repro.metrics.jsonio import stable_dumps
-from repro.parallel import resolve_jobs
+from repro.parallel import cli
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,16 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run one catalogue scenario")
     parser.add_argument("--matrix", action="store_true",
                         help="run every catalogue scenario")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="matrix workers (0 = one per CPU; default: "
-                             "$REPRO_JOBS or 1); reports are byte-identical "
-                             "for any value")
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed (default 0)")
-    parser.add_argument("--warmup", type=float, default=2.0,
-                        help="seconds excluded from metrics (default 2.0)")
-    parser.add_argument("--output", metavar="PATH",
-                        help="write the JSON report here instead of stdout")
+    cli.add_arguments(parser)
     return parser
 
 
@@ -62,10 +54,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         print(_list_scenarios())
         return 0
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    jobs = cli.jobs(parser, args)
     if args.matrix:
         document = run_matrix(seed=args.seed, jobs=jobs)
     elif args.scenario:
@@ -76,15 +65,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         document = report_dict(run)
     else:
         parser.error("choose one of --list, --scenario NAME, or --matrix")
-    text = stable_dumps(document)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            parser.error(f"cannot write --output {args.output}: {exc}")
-    else:
-        print(text)
+    cli.emit(parser, args.output, document)
     return 0
 
 

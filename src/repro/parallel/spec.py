@@ -87,27 +87,6 @@ class RunOutcome:
     #: plane's migration/autoscale counters); empty elsewhere.
     extra: Dict[str, Any] = field(default_factory=dict)
 
-    # Flat conveniences mirroring RunResult's metric surface.
-    @property
-    def admitted(self) -> int:
-        return self.metrics.admitted
-
-    @property
-    def mean_response(self) -> float:
-        return self.metrics.response.mean
-
-    @property
-    def avg_max_distance(self) -> float:
-        return self.metrics.avg_max_distance
-
-    @property
-    def avg_inconsistency(self) -> float:
-        return self.metrics.avg_inconsistency
-
-    @property
-    def delivery_rate(self) -> float:
-        return self.metrics.delivery_rate
-
 
 def outcome_from_result(result: RunResult, wall_s: float = 0.0,
                         key: Optional[Tuple[Any, ...]] = None) -> RunOutcome:

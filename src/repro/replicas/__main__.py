@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.metrics.jsonio import stable_dumps
-from repro.parallel import derive_seed, resolve_jobs, run_specs
+from repro.parallel import cli, derive_seed
 from repro.parallel.spec import RunOutcome, RunSpec
 from repro.replicas.router import POLICIES
 from repro.units import ms
@@ -48,21 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="read-routing policy (default round_robin)")
     parser.add_argument("--horizon", type=float, default=12.0,
                         help="virtual-time horizon, seconds (default 12)")
-    parser.add_argument("--warmup", type=float, default=2.0,
-                        help="seconds excluded from metrics (default 2.0)")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized sweep: counts 0 1 2, one seed, "
                              "6 s horizon")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="sweep workers (0 = one per CPU; default: "
-                             "$REPRO_JOBS or 1); digests are identical "
-                             "for any value")
-    parser.add_argument("--require-identical", action="store_true",
-                        help="re-run serially and fail unless every trace "
-                             "digest matches the parallel pass")
-    parser.add_argument("--output", metavar="PATH",
-                        help="write the JSON document here instead of "
-                             "stdout")
+    cli.add_arguments(parser, identity_gate=True)
     return parser
 
 
@@ -98,19 +86,6 @@ def _run_entry(outcome: RunOutcome) -> Dict[str, Any]:
     }
 
 
-def _check_identical(specs: Sequence[RunSpec],
-                     parallel: Sequence[RunOutcome]) -> List[str]:
-    """Serial re-run digest check; returns human-readable mismatches."""
-    serial = run_specs(list(specs), jobs=1)
-    problems = []
-    for left, right in zip(serial, parallel):
-        if left.trace_digest != right.trace_digest:
-            problems.append(
-                f"{right.key}: serial digest {left.trace_digest[:12]} != "
-                f"parallel digest {right.trace_digest[:12]}")
-    return problems
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -118,33 +93,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.replica_counts = [0, 1, 2]
         args.seeds = args.seeds[:1]
         args.horizon = 6.0
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
-    specs = _specs(args)
-    outcomes = run_specs(specs, jobs=jobs)
-    document: Dict[str, Any] = {
-        "jobs": jobs,
-        "policy": args.policy,
-        "read_period": args.read_period,
-        "runs": [_run_entry(outcome) for outcome in outcomes],
-    }
-    if args.require_identical:
-        problems = _check_identical(specs, outcomes)
-        document["identical"] = not problems
-        for problem in problems:
-            print(f"MISMATCH {problem}", file=sys.stderr)
-    text = stable_dumps(document)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            parser.error(f"cannot write --output {args.output}: {exc}")
-    else:
-        print(text)
-    return 1 if args.require_identical and not document["identical"] else 0
+    return cli.sweep(parser, args, _specs(args), _run_entry,
+                     policy=args.policy, read_period=args.read_period)
 
 
 if __name__ == "__main__":

@@ -91,11 +91,8 @@ class Scenario:
             slack_factor=self.slack_factor,
             admission_enabled=self.admission_enabled,
             retransmission_enabled=self.retransmission_enabled,
-            ping_max_misses=self._ping_misses_for_loss(),
+            ping_max_misses=ping_misses_for_loss(self.loss_probability),
         )
-
-    def _ping_misses_for_loss(self) -> int:
-        return ping_misses_for_loss(self.loss_probability)
 
 
 def _service_class(replication: str) -> type:

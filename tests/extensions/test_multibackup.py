@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core import rtpb_protocol
+from repro.core import server as server_module
+from repro.core.rtpb_protocol import RTPB_PORT
 from repro.core.server import Role
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
@@ -152,3 +155,43 @@ def test_no_primary_raises():
     service.run(3.0)
     with pytest.raises(ReplicationError):
         service.current_primary()
+
+
+def test_primary_records_one_garbled_datagram_and_routes_ping_acks(
+        monkeypatch):
+    service, _specs = make_service(n_backups=2)
+    service.run(2.0)
+    primary = service.primary_server
+    assert primary.role is Role.PRIMARY
+    backup_addresses = sorted(primary._backup_pings)
+    assert len(backup_addresses) == 2
+
+    routed = []
+    original = primary.handle_ping_ack_from
+
+    def spy(address, ack):
+        routed.append(address)
+        original(address, ack)
+
+    monkeypatch.setattr(primary, "handle_ping_ack_from", spy)
+    decodes = []
+    real_decode = rtpb_protocol.decode_message
+
+    def counting_decode(data):
+        decodes.append(data)
+        return real_decode(data)
+
+    before = len(service.trace.select("rtpb_garbled", server=primary.name))
+    with monkeypatch.context() as patch:
+        for module in (rtpb_protocol, server_module):
+            patch.setattr(module, "decode_message", counting_decode)
+        # An unknown type tag: decoding fails with MessageFormatError.
+        primary._on_datagram(b"\xff\x00\x01garbage",
+                             (backup_addresses[0], RTPB_PORT), {})
+    after = len(service.trace.select("rtpb_garbled", server=primary.name))
+    assert after == before + 1
+    assert len(decodes) == 1
+
+    service.run(4.0)
+    # Ping acks from every backup still reach the per-backup managers.
+    assert sorted(set(routed)) == backup_addresses

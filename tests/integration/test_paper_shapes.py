@@ -31,26 +31,26 @@ def test_fig6_response_flat_with_admission_control():
     # identically (the paper's "little impact" claim).
     at_knee = run(n_objects=48, window=ms(100))
     beyond = run(n_objects=64, window=ms(100))
-    assert beyond.admitted < 64
-    assert beyond.admitted == at_knee.admitted
-    assert beyond.response.mean < 1.5 * at_knee.response.mean
+    assert beyond.metrics.admitted < 64
+    assert beyond.metrics.admitted == at_knee.metrics.admitted
+    assert beyond.metrics.response.mean < 1.5 * at_knee.metrics.response.mean
     # And the controller keeps responses orders of magnitude below the
     # uncontrolled overload (see fig7 test).
-    assert beyond.response.mean < ms(25)
+    assert beyond.metrics.response.mean < ms(25)
 
 
 def test_fig7_response_explodes_without_admission_control():
     light = run(n_objects=16, window=ms(100), admission_enabled=False)
     overloaded = run(n_objects=64, window=ms(100), admission_enabled=False)
-    assert overloaded.admitted == 64
-    assert overloaded.response.mean > 10 * light.response.mean
+    assert overloaded.metrics.admitted == 64
+    assert overloaded.metrics.response.mean > 10 * light.metrics.response.mean
 
 
 def test_fig7_larger_window_pushes_knee_right():
     # 64 objects overload a 100 ms window but fit under a 400 ms one.
     tight = run(n_objects=64, window=ms(100), admission_enabled=False)
     loose = run(n_objects=64, window=ms(400), admission_enabled=False)
-    assert loose.response.mean < tight.response.mean / 3
+    assert loose.metrics.response.mean < tight.metrics.response.mean / 3
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,8 @@ def test_fig7_larger_window_pushes_knee_right():
 def test_fig8_distance_grows_with_loss():
     clean = run(n_objects=6, loss_probability=0.0, horizon=12.0)
     lossy = run(n_objects=6, loss_probability=0.10, horizon=12.0)
-    assert lossy.avg_max_distance > clean.avg_max_distance * 1.3
+    assert (lossy.metrics.avg_max_distance
+            > clean.metrics.avg_max_distance * 1.3)
 
 
 def test_fig8_distance_grows_with_write_rate():
@@ -69,7 +70,7 @@ def test_fig8_distance_grows_with_write_rate():
                horizon=12.0)
     fast = run(n_objects=6, client_period=ms(50), loss_probability=0.05,
                horizon=12.0)
-    assert fast.avg_max_distance > slow.avg_max_distance
+    assert fast.metrics.avg_max_distance > slow.metrics.avg_max_distance
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_fig8_distance_grows_with_write_rate():
 def test_fig9_distance_flat_with_admission_control():
     small = run(n_objects=8, window=ms(100), loss_probability=0.02)
     large = run(n_objects=64, window=ms(100), loss_probability=0.02)
-    assert large.avg_max_distance < 2 * small.avg_max_distance
+    assert large.metrics.avg_max_distance < 2 * small.metrics.avg_max_distance
 
 
 def test_fig10_distance_grows_past_capacity_without_admission():
@@ -88,7 +89,8 @@ def test_fig10_distance_grows_past_capacity_without_admission():
                 admission_enabled=False)
     overloaded = run(n_objects=64, window=ms(100), loss_probability=0.02,
                      admission_enabled=False)
-    assert overloaded.avg_max_distance > 1.5 * light.avg_max_distance
+    assert (overloaded.metrics.avg_max_distance
+            > 1.5 * light.metrics.avg_max_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def test_fig11_normal_scheduling_larger_window_longer_inconsistency():
     loose = run(n_objects=24, window=ms(200), client_period=ms(25),
                 loss_probability=0.10, horizon=15.0)
     # Larger window -> longer update period -> longer recovery after loss.
-    assert loose.avg_inconsistency > tight.avg_inconsistency
+    assert loose.metrics.avg_inconsistency > tight.metrics.avg_inconsistency
 
 
 def test_fig12_compressed_scheduling_flips_window_direction():
@@ -114,8 +116,8 @@ def test_fig12_compressed_scheduling_flips_window_direction():
                 scheduling_mode=SchedulingMode.COMPRESSED)
     # Updates flow at CPU capacity regardless of window: the larger window
     # is harder to fall out of and no slower to re-enter.
-    assert loose.avg_inconsistency <= tight.avg_inconsistency
-    assert tight.avg_inconsistency > 0  # episodes do occur at 10% loss
+    assert loose.metrics.avg_inconsistency <= tight.metrics.avg_inconsistency
+    assert tight.metrics.avg_inconsistency > 0  # episodes do occur at 10% loss
 
 
 def test_compressed_sends_far_more_updates_than_normal():

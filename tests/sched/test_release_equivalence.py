@@ -108,7 +108,7 @@ def _scenario_digest(monkeypatch, batch):
     result = run_scenario(scenario)
     return (result.service.trace.digest(),
             result.service.sim.events_executed,
-            result.response.count)
+            result.metrics.response.count)
 
 
 def test_figure_scenario_identical_across_modes(monkeypatch):
