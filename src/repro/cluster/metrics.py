@@ -19,18 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, cast
 
 from repro.core.service import RTPBService
-from repro.experiments.harness import RunMetrics
-from repro.metrics.collectors import (
-    average_inconsistency_duration,
-    average_max_distance,
-    primary_fallback_rate,
-    read_slo_violations,
-    read_staleness_stats,
-    read_throughput,
-    response_time_stats,
-    unanswered_writes,
-    update_delivery_rate,
-)
+from repro.metrics.collectors import RunMetrics, run_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.service import ClusterService, ReplicationGroup
@@ -49,41 +38,14 @@ class ClusterMetrics:
 def collect_group(group: "ReplicationGroup", horizon: float,
                   warmup: float = 2.0) -> RunMetrics:
     """Compute :class:`RunMetrics` for one group of a finished cluster run."""
-    view = cast(RTPBService, group)
-    ids = group.object_ids()
-    return RunMetrics(
-        admitted=len(ids),
-        response=response_time_stats(view, start=warmup, objects=ids),
-        starved_writes=unanswered_writes(view, objects=ids),
-        avg_max_distance=average_max_distance(view, horizon, start=warmup),
-        avg_inconsistency=average_inconsistency_duration(view, horizon,
-                                                         start=warmup),
-        delivery_rate=update_delivery_rate(view, objects=ids),
-        read_throughput=read_throughput(view, horizon, start=warmup,
-                                        objects=ids),
-        read_staleness=read_staleness_stats(view, start=warmup, objects=ids),
-        slo_violations=read_slo_violations(view, objects=ids),
-        fallback_rate=primary_fallback_rate(view, start=warmup, objects=ids),
-    )
+    return run_metrics(cast(RTPBService, group), horizon, warmup,
+                       objects=group.object_ids())
 
 
 def collect_cluster(cluster: "ClusterService", horizon: float,
                     warmup: float = 2.0) -> ClusterMetrics:
     """Compute cluster-wide and per-group metrics in one call."""
-    view = cast(RTPBService, cluster)
-    cluster_wide = RunMetrics(
-        admitted=len(cluster.registered_specs()),
-        response=response_time_stats(view, start=warmup),
-        starved_writes=unanswered_writes(view),
-        avg_max_distance=average_max_distance(view, horizon, start=warmup),
-        avg_inconsistency=average_inconsistency_duration(view, horizon,
-                                                         start=warmup),
-        delivery_rate=update_delivery_rate(view),
-        read_throughput=read_throughput(view, horizon, start=warmup),
-        read_staleness=read_staleness_stats(view, start=warmup),
-        slo_violations=read_slo_violations(view),
-        fallback_rate=primary_fallback_rate(view, start=warmup),
-    )
-    per_group = {group.name: collect_group(group, horizon, warmup)
-                 for group in cluster.groups}
-    return ClusterMetrics(cluster=cluster_wide, per_group=per_group)
+    return ClusterMetrics(
+        cluster=run_metrics(cast(RTPBService, cluster), horizon, warmup),
+        per_group={group.name: collect_group(group, horizon, warmup)
+                   for group in cluster.groups})

@@ -25,25 +25,11 @@ the tracer, so the storage filter does not blind it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.service import RTPBService
-from repro.metrics.collectors import (
-    SummaryStats,
-    average_inconsistency_duration,
-    average_max_distance,
-    degraded_responses,
-    fastpath_hit_rate,
-    fastpath_response_split,
-    primary_fallback_rate,
-    read_slo_violations,
-    read_staleness_stats,
-    read_throughput,
-    response_time_stats,
-    unanswered_writes,
-    update_delivery_rate,
-)
+from repro.metrics.collectors import RunMetrics, run_metrics
 from repro.workload.scenarios import Scenario, build_scenario
 
 if TYPE_CHECKING:
@@ -88,36 +74,6 @@ METRIC_TRACE_CATEGORIES = (
     "client_response_degraded",
     "replication_degraded",
 )
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """The picklable, service-free metrics of one finished run."""
-
-    #: Objects that actually entered the service.
-    admitted: int
-    response: SummaryStats
-    #: Writes whose RPC never completed within the horizon (overload).
-    starved_writes: int
-    #: seconds — the paper's average maximum primary/backup distance.
-    avg_max_distance: float
-    #: seconds — the paper's duration of backup inconsistency (mean episode).
-    avg_inconsistency: float
-    #: Fraction of transmitted updates applied at the backup.
-    delivery_rate: float
-    #: Read path (repro.replicas); inert defaults on write-only runs.
-    read_throughput: float = 0.0
-    read_staleness: SummaryStats = field(
-        default_factory=SummaryStats.empty)
-    slo_violations: int = 0
-    fallback_rate: float = 0.0
-    #: Fast path (repro.core.fastpath); inert defaults elsewhere.
-    fastpath_hit_rate: float = 0.0
-    fast_response: SummaryStats = field(default_factory=SummaryStats.empty)
-    deferred_response: SummaryStats = field(
-        default_factory=SummaryStats.empty)
-    #: Writes completed degraded (backup died before acking; eager only).
-    degraded_responses: int = 0
 
 
 @dataclass
@@ -195,22 +151,4 @@ def run_scenario(scenario: "Scenario | ClusterScenario", warmup: float = 2.0,
 def collect(scenario: Scenario, service: RTPBService,
             warmup: float = 2.0) -> RunMetrics:
     """Compute :class:`RunMetrics` for an already-finished run."""
-    horizon = scenario.horizon
-    split = fastpath_response_split(service, start=warmup)
-    return RunMetrics(
-        admitted=len(service.registered_specs()),
-        response=response_time_stats(service, start=warmup),
-        starved_writes=unanswered_writes(service),
-        avg_max_distance=average_max_distance(service, horizon, start=warmup),
-        avg_inconsistency=average_inconsistency_duration(service, horizon,
-                                                         start=warmup),
-        delivery_rate=update_delivery_rate(service),
-        read_throughput=read_throughput(service, horizon, start=warmup),
-        read_staleness=read_staleness_stats(service, start=warmup),
-        slo_violations=read_slo_violations(service),
-        fallback_rate=primary_fallback_rate(service, start=warmup),
-        fastpath_hit_rate=fastpath_hit_rate(service, start=warmup),
-        fast_response=split["fast"],
-        deferred_response=split["deferred"],
-        degraded_responses=degraded_responses(service),
-    )
+    return run_metrics(service, scenario.horizon, warmup, fastpath=True)

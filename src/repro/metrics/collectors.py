@@ -6,20 +6,23 @@ never mutate the simulation.  ``service`` is duck-typed — any deployment
 view exposing the same introspection surface works, including one *group*
 of a sharded cluster; the trace-counting collectors take an optional
 ``objects`` filter so a group view sharing a cluster-wide trace counts only
-its own shard's records.  Times in the returned values are in the
-simulator's native seconds — convert with :func:`repro.units.to_ms` for
-paper-style tables.
+its own shard's records, read from the trace's per-object index.
+:func:`run_metrics` packages one view's metrics as :class:`RunMetrics`.
+Times in the returned values are in the simulator's native seconds —
+convert with :func:`repro.units.to_ms` for paper-style tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.consistency.checker import ExternalConsistencyChecker, Violation
 from repro.core.service import RTPBService
+from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError
+from repro.sim.trace import TraceRecord
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +85,50 @@ def _percentile(ordered: Sequence[float], fraction: float) -> float:
     return ordered[max(0, index)]
 
 
+@dataclass(frozen=True)
+class RunMetrics:
+    """The picklable, service-free metrics of one finished run."""
+
+    #: Objects that actually entered the service.
+    admitted: int
+    response: SummaryStats
+    #: Writes whose RPC never completed within the horizon (overload).
+    starved_writes: int
+    #: seconds — the paper's average maximum primary/backup distance.
+    avg_max_distance: float
+    #: seconds — the paper's duration of backup inconsistency (mean episode).
+    avg_inconsistency: float
+    #: Backup arrivals per transmitted update (:func:`update_delivery_rate`):
+    #: stale duplicates count as arrivals and the ratio is not clamped, so
+    #: a duplicating network pushes it above 1.0.
+    delivery_rate: float
+    #: Read path (repro.replicas); inert defaults on write-only runs.
+    read_throughput: float = 0.0
+    read_staleness: SummaryStats = field(
+        default_factory=SummaryStats.empty)
+    slo_violations: int = 0
+    fallback_rate: float = 0.0
+    #: Fast path (repro.core.fastpath); inert defaults elsewhere.
+    fastpath_hit_rate: float = 0.0
+    fast_response: SummaryStats = field(default_factory=SummaryStats.empty)
+    deferred_response: SummaryStats = field(
+        default_factory=SummaryStats.empty)
+    #: Writes completed degraded (backup died before acking; eager only).
+    degraded_responses: int = 0
+
+
+def _records(service: RTPBService, category: str,
+             objects: Optional[Iterable[int]] = None) -> List[TraceRecord]:
+    """``category``'s records, in trace order or, for ``objects``, grouped
+    by object (each id once).  Callers count them or :func:`summarize`
+    them, which sorts, so the grouping never changes a result."""
+    if objects is None:
+        return service.trace.select(category)
+    index = service.trace.by_object(category)
+    return [record for object_id in dict.fromkeys(objects)
+            for record in index.get(object_id, ())]
+
+
 # ---------------------------------------------------------------------------
 # Client response time (Figures 6-7)
 # ---------------------------------------------------------------------------
@@ -95,11 +142,9 @@ def response_times(service: RTPBService,
     ``objects`` restricts the count to those object ids (a cluster group
     view filtering the shared trace); None keeps every record.
     """
-    ids = None if objects is None else set(objects)
     return [record["response"]
-            for record in service.trace.select("client_response")
-            if record["issue"] >= start
-            and (ids is None or record["object"] in ids)]
+            for record in _records(service, "client_response", objects)
+            if record["issue"] >= start]
 
 
 def response_time_stats(service: RTPBService,
@@ -118,12 +163,9 @@ def unanswered_writes(service: RTPBService,
     client too, so they count as answered even though they are excluded
     from the response-time distribution.
     """
-    ids = None if objects is None else set(objects)
     issued = sum(client.writes_issued for client in service.clients)
-    answered = sum(
-        1 for record in (service.trace.select("client_response")
-                         + service.trace.select("client_response_degraded"))
-        if ids is None or record["object"] in ids)
+    answered = (len(_records(service, "client_response", objects))
+                + len(_records(service, "client_response_degraded", objects)))
     return max(0, issued - answered)
 
 
@@ -141,11 +183,9 @@ def fastpath_hit_rate(service: RTPBService, start: float = 0.0,
     0.0 when no write carried a path tag — i.e. on every run without the
     fast path.
     """
-    ids = None if objects is None else set(objects)
     fast = total = 0
-    for record in service.trace.select("client_response"):
-        if record["issue"] < start or (ids is not None
-                                       and record["object"] not in ids):
+    for record in _records(service, "client_response", objects):
+        if record["issue"] < start:
             continue
         path = record.get("path")
         if path is None:
@@ -168,11 +208,9 @@ def fastpath_response_split(service: RTPBService, start: float = 0.0,
     land under ``"deferred"``, so the split degenerates gracefully to the
     plain distribution.
     """
-    ids = None if objects is None else set(objects)
     split: Dict[str, List[float]] = {"fast": [], "deferred": []}
-    for record in service.trace.select("client_response"):
-        if record["issue"] < start or (ids is not None
-                                       and record["object"] not in ids):
+    for record in _records(service, "client_response", objects):
+        if record["issue"] < start:
             continue
         path = record.get("path")
         bucket = "fast" if path == "fast" else "deferred"
@@ -183,33 +221,14 @@ def fastpath_response_split(service: RTPBService, start: float = 0.0,
 def degraded_responses(service: RTPBService, start: float = 0.0,
                        objects: Optional[Iterable[int]] = None) -> int:
     """Writes completed degraded (flushed when the backup died unacked)."""
-    ids = None if objects is None else set(objects)
     return sum(
-        1 for record in service.trace.select("client_response_degraded")
-        if record["issue"] >= start
-        and (ids is None or record["object"] in ids))
+        1 for record in _records(service, "client_response_degraded", objects)
+        if record["issue"] >= start)
 
 
 # ---------------------------------------------------------------------------
 # Primary-backup distance (Figures 8-10)
 # ---------------------------------------------------------------------------
-
-
-def _distance_events(service: RTPBService, object_id: int
-                     ) -> List[Tuple[float, str, float]]:
-    """Merged (time, kind, value) events for one object.
-
-    ``kind`` is ``"write"`` (value = write instant, advancing ``W_P``) or
-    ``"apply"`` (value = write_time of the version applied, advancing
-    ``W_B``).
-    """
-    events: List[Tuple[float, str, float]] = []
-    for record in service.trace.select("primary_write", object=object_id):
-        events.append((record.time, "write", record.time))
-    for record in service.trace.select("backup_apply", object=object_id):
-        events.append((record.time, "apply", record["write_time"]))
-    events.sort(key=lambda event: event[0])
-    return events
 
 
 def distance_timeline(service: RTPBService, object_id: int,
@@ -230,16 +249,20 @@ def distance_timeline(service: RTPBService, object_id: int,
     Measurement begins at the first backup apply (before that the backup
     legitimately holds nothing).  Clamped to events in ``[start, horizon]``.
     """
+    trace = service.trace
+    # A write advances W_P ``allowance`` after it happened; an apply raises
+    # W_B.  Buckets are time-ordered and ``allowance >= 0``, so the stable
+    # sort breaks time ties write-first, then in trace order.
+    events: List[Tuple[float, str, float]] = [
+        (record.time + allowance, "write", record.time)
+        for record in trace.by_object("primary_write").get(object_id, ())]
+    events += [(record.time, "apply", record["write_time"])
+               for record in trace.by_object("backup_apply").get(object_id,
+                                                                 ())]
+    events.sort(key=lambda event: event[0])
     timeline: List[Tuple[float, float]] = []
     frontier: Optional[float] = None
     w_b: Optional[float] = None
-    events: List[Tuple[float, str, float]] = []
-    for time, kind, value in _distance_events(service, object_id):
-        if kind == "write":
-            events.append((time + allowance, "write", value))
-        else:
-            events.append((time, "apply", value))
-    events.sort(key=lambda event: event[0])
     for time, kind, value in events:
         if time > horizon:
             break
@@ -254,7 +277,7 @@ def distance_timeline(service: RTPBService, object_id: int,
     return timeline
 
 
-def _propagation_allowance(service: RTPBService, object_id: int) -> float:
+def _propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
     """The provisioned primary→backup lag: update period + delay bound ℓ.
 
     Falls back to the spec's configured update period when the deployment
@@ -263,15 +286,10 @@ def _propagation_allowance(service: RTPBService, object_id: int) -> float:
     """
     try:
         primary = service.current_primary()
-        record = primary.store.get(object_id)
-        period = record.update_period
+        period = primary.store.get(spec.object_id).update_period
     except ReplicationError:
         period = None
     if period is None:
-        spec = next((candidate for candidate in service.registered_specs()
-                     if candidate.object_id == object_id), None)
-        if spec is None:
-            return service.config.ell
         period = service.config.update_period(spec)
     return period + service.config.ell
 
@@ -312,7 +330,7 @@ def max_distance_per_object(service: RTPBService, horizon: float,
     """
     result: Dict[int, float] = {}
     for spec in service.registered_specs():
-        allowance = _propagation_allowance(service, spec.object_id)
+        allowance = _propagation_allowance(service, spec)
         timeline = distance_timeline(service, spec.object_id, horizon,
                                      start, allowance=allowance)
         durations = _lag_episode_durations(timeline, horizon)
@@ -404,24 +422,38 @@ def backup_external_violations(service: RTPBService, start: float,
 def failover_latencies(service: RTPBService) -> List[float]:
     """Crash-to-takeover latency for *each* primary crash, in crash order.
 
-    Each primary crash is paired with the next failover at or after it (a
-    failover consumed by one crash is not reused for a later one).  A crash
-    the service never recovered from contributes nothing, so under repeated
+    Each primary crash is paired with the next failover of the same
+    replication group at or after it (a failover consumed by one crash is
+    not reused for a later one).  A cluster member's group is its name up
+    to the ``@`` (``rtpb/g00@host7``), so on a cluster-wide trace one
+    group's failover never answers another group's crash; names without
+    an ``@`` all belong to the one group of a single deployment.  A crash
+    its group never recovered from contributes nothing, so under repeated
     chaos-style crashes the list length is the number of *completed*
     failovers, not ``len(crashes)``.
     """
-    crashes = service.trace.select("server_crash", role="primary")
-    failovers = service.trace.select("failover")
+    failovers: Dict[Optional[str], List[float]] = {}
+    for record in service.trace.select("failover"):
+        failovers.setdefault(_group_of(record.get("new_primary")),
+                             []).append(record.time)
+    consumed: Dict[Optional[str], int] = {}
     latencies: List[float] = []
-    index = 0
-    for crash in crashes:
-        while index < len(failovers) and failovers[index].time < crash.time:
+    for crash in service.trace.select("server_crash", role="primary"):
+        group = _group_of(crash.get("server"))
+        times = failovers.get(group, [])
+        index = consumed.get(group, 0)
+        while index < len(times) and times[index] < crash.time:
             index += 1
-        if index >= len(failovers):
-            break
-        latencies.append(failovers[index].time - crash.time)
-        index += 1
+        if index < len(times):
+            latencies.append(times[index] - crash.time)
+            index += 1
+        consumed[group] = index
     return latencies
+
+
+def _group_of(member: Optional[str]) -> Optional[str]:
+    group, at, _host = (member or "").partition("@")
+    return group if at else None
 
 
 def failover_latency(service: RTPBService) -> Optional[float]:
@@ -462,18 +494,13 @@ def duplicate_deliveries(service: RTPBService,
 
 def _sent_count(service: RTPBService,
                 objects: Optional[Iterable[int]] = None) -> int:
-    ids = None if objects is None else set(objects)
-    return sum(1 for record in service.trace.select("update_sent")
-               if ids is None or record["object"] in ids)
+    return len(_records(service, "update_sent", objects))
 
 
 def _update_arrivals(service: RTPBService,
                      objects: Optional[Iterable[int]] = None) -> int:
-    ids = None if objects is None else set(objects)
-    return sum(
-        1 for record in (service.trace.select("backup_apply")
-                         + service.trace.select("backup_apply_stale"))
-        if ids is None or record["object"] in ids)
+    return (len(_records(service, "backup_apply", objects))
+            + len(_records(service, "backup_apply_stale", objects)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +509,8 @@ def _update_arrivals(service: RTPBService,
 
 
 def _served_read_records(service: RTPBService, start: float = 0.0,
-                         objects: Optional[Iterable[int]] = None) -> List:
+                         objects: Optional[Iterable[int]] = None
+                         ) -> List[TraceRecord]:
     """Served reads across both tiers: replicas and the primary.
 
     ``read_served`` records come from replicas, ``client_read`` from the
@@ -490,12 +518,22 @@ def _served_read_records(service: RTPBService, start: float = 0.0,
     accounting must cover both or fallback traffic would vanish from the
     distribution.
     """
-    ids = None if objects is None else set(objects)
-    records = (service.trace.select("read_served")
-               + service.trace.select("client_read"))
-    return [record for record in records
-            if record["issue"] >= start
-            and (ids is None or record["object"] in ids)]
+    return [record
+            for category in ("read_served", "client_read")
+            for record in _records(service, category, objects)
+            if record["issue"] >= start]
+
+
+def _staleness(served: List[TraceRecord]) -> List[float]:
+    return [record["staleness"] for record in served
+            if math.isfinite(record["staleness"])]
+
+
+def _per_second(count: int, horizon: float, start: float) -> float:
+    span = horizon - start
+    if span <= 0:
+        return 0.0
+    return count / span
 
 
 def read_staleness_values(service: RTPBService, start: float = 0.0,
@@ -506,24 +544,13 @@ def read_staleness_values(service: RTPBService, start: float = 0.0,
     Reads of never-written objects report infinite staleness; those are
     excluded (the value is a routing artefact, not a sample age).
     """
-    return [record["staleness"]
-            for record in _served_read_records(service, start, objects)
-            if math.isfinite(record["staleness"])]
+    return _staleness(_served_read_records(service, start, objects))
 
 
 def read_staleness_stats(service: RTPBService, start: float = 0.0,
                          objects: Optional[Iterable[int]] = None
                          ) -> SummaryStats:
     return summarize(read_staleness_values(service, start, objects=objects))
-
-
-def read_response_stats(service: RTPBService, start: float = 0.0,
-                        objects: Optional[Iterable[int]] = None
-                        ) -> SummaryStats:
-    """Queueing + service time of served reads, both tiers."""
-    return summarize([
-        record["response"]
-        for record in _served_read_records(service, start, objects)])
 
 
 def reads_served_count(service: RTPBService, start: float = 0.0,
@@ -534,10 +561,8 @@ def reads_served_count(service: RTPBService, start: float = 0.0,
 def read_throughput(service: RTPBService, horizon: float, start: float = 0.0,
                     objects: Optional[Iterable[int]] = None) -> float:
     """Served reads per second over ``[start, horizon]``, both tiers."""
-    span = horizon - start
-    if span <= 0:
-        return 0.0
-    return reads_served_count(service, start, objects) / span
+    return _per_second(reads_served_count(service, start, objects), horizon,
+                       start)
 
 
 def read_slo_violations(service: RTPBService,
@@ -549,11 +574,9 @@ def read_slo_violations(service: RTPBService,
     :class:`~repro.faults.monitor.ReplicaStalenessInvariant` (same
     predicate, independent implementation).
     """
-    ids = None if objects is None else set(objects)
     return sum(
-        1 for record in service.trace.select("read_served")
-        if (ids is None or record["object"] in ids)
-        and record["staleness"] > record["bound"] + 1e-12)
+        1 for record in _records(service, "read_served", objects)
+        if record["staleness"] > record["bound"] + 1e-12)
 
 
 def primary_fallback_rate(service: RTPBService, start: float = 0.0,
@@ -564,16 +587,58 @@ def primary_fallback_rate(service: RTPBService, start: float = 0.0,
     or the routed replica refused late) against all reads that entered the
     system — replica-served plus fallbacks.  0.0 when no reads ran.
     """
-    ids = None if objects is None else set(objects)
     fallbacks = sum(
-        1 for record in service.trace.select("read_fallback")
-        if record.time >= start
-        and (ids is None or record["object"] in ids))
+        1 for record in _records(service, "read_fallback", objects)
+        if record.time >= start)
     replica_served = sum(
-        1 for record in service.trace.select("read_served")
-        if record["issue"] >= start
-        and (ids is None or record["object"] in ids))
+        1 for record in _records(service, "read_served", objects)
+        if record["issue"] >= start)
     total = fallbacks + replica_served
     if total == 0:
         return 0.0
     return fallbacks / total
+
+
+# ---------------------------------------------------------------------------
+# One view, every metric
+# ---------------------------------------------------------------------------
+
+
+def run_metrics(service: RTPBService, horizon: float, warmup: float = 2.0,
+                objects: Optional[Iterable[int]] = None,
+                fastpath: bool = False) -> RunMetrics:
+    """:class:`RunMetrics` of one finished deployment view.
+
+    ``warmup`` seconds at the head of the run are excluded.  ``objects``
+    scopes the trace-counting metrics to a cluster group's shard (None
+    counts every record); the distance metrics cover the view's own
+    ``registered_specs()`` with the view's own allowances, summed in that
+    order.  ``fastpath`` fills the fast-path fields, which only a
+    single-group deployment reports; cluster views keep their defaults.
+    """
+    served = _served_read_records(service, warmup, objects)
+    metrics = RunMetrics(
+        admitted=len(service.registered_specs()),
+        response=response_time_stats(service, start=warmup, objects=objects),
+        starved_writes=unanswered_writes(service, objects=objects),
+        avg_max_distance=average_max_distance(service, horizon, start=warmup),
+        avg_inconsistency=average_inconsistency_duration(service, horizon,
+                                                         start=warmup),
+        delivery_rate=update_delivery_rate(service, objects=objects),
+        read_throughput=_per_second(len(served), horizon, warmup),
+        read_staleness=summarize(_staleness(served)),
+        slo_violations=read_slo_violations(service, objects=objects),
+        fallback_rate=primary_fallback_rate(service, start=warmup,
+                                            objects=objects),
+    )
+    if not fastpath:
+        return metrics
+    split = fastpath_response_split(service, start=warmup, objects=objects)
+    return replace(
+        metrics,
+        fastpath_hit_rate=fastpath_hit_rate(service, start=warmup,
+                                            objects=objects),
+        fast_response=split["fast"],
+        deferred_response=split["deferred"],
+        degraded_responses=degraded_responses(service, objects=objects),
+    )

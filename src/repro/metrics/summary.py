@@ -3,20 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
     SummaryStats,
-    average_inconsistency_duration,
-    average_max_distance,
     backup_external_violations,
     failover_latency,
-    primary_fallback_rate,
-    read_staleness_stats,
-    response_time_stats,
-    unanswered_writes,
-    update_delivery_rate,
+    run_metrics,
 )
 from repro.metrics.report import Table
 from repro.units import to_ms
@@ -83,19 +77,19 @@ def summarize_run(service: RTPBService, horizon: float,
     """Collect every metric for a finished run in one call."""
     violations = backup_external_violations(service, warmup,
                                             max(warmup, horizon - 1.0))
+    metrics = run_metrics(service, horizon, warmup)
     return RunSummary(
         horizon=horizon,
         warmup=warmup,
-        objects=len(service.registered_specs()),
-        response=response_time_stats(service, start=warmup),
-        starved_writes=unanswered_writes(service),
-        avg_max_distance=average_max_distance(service, horizon, warmup),
-        avg_inconsistency=average_inconsistency_duration(service, horizon,
-                                                         warmup),
-        delivery_rate=update_delivery_rate(service),
+        objects=metrics.admitted,
+        response=metrics.response,
+        starved_writes=metrics.starved_writes,
+        avg_max_distance=metrics.avg_max_distance,
+        avg_inconsistency=metrics.avg_inconsistency,
+        delivery_rate=metrics.delivery_rate,
         backup_violations=sum(len(per_object)
                               for per_object in violations.values()),
         failover=failover_latency(service),
-        read_staleness=read_staleness_stats(service, start=warmup),
-        fallback_rate=primary_fallback_rate(service, start=warmup),
+        read_staleness=metrics.read_staleness,
+        fallback_rate=metrics.fallback_rate,
     )

@@ -8,10 +8,12 @@ them directly.  Online observers (the fault subsystem's invariant monitor)
 independently of the storage filter.
 
 Storage is indexed by category: :meth:`Tracer.select` touches only the
-queried category's records and :meth:`Tracer.categories` is a dict copy,
-so the per-object queries the metric collectors issue stop scanning the
-whole trace.  Iteration order, :meth:`Tracer.digest`, and the storage
-filter semantics are unchanged from the scan implementation.
+queried category's records and :meth:`Tracer.categories` is a dict copy.
+:meth:`Tracer.by_object` buckets a category by ``object`` once, on the
+first per-object query (``select(category, object=x)`` included), so the
+metric collectors read each object's records instead of scanning the
+category once per object.  Iteration order, :meth:`Tracer.digest`, and
+the storage filter semantics are unchanged from the scan implementation.
 
 Dead categories cost (almost) nothing: :meth:`Tracer.enabled` answers
 "would a record of this category go anywhere?" from a per-category cache,
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,9 @@ class Tracer:
         #: Per-category view of ``_records`` (same record objects, same
         #: relative order); keys appear in first-recorded order.
         self._by_category: Dict[str, List[TraceRecord]] = {}
+        #: category -> (records indexed so far, object -> its records).
+        self._by_object: Dict[str, Tuple[int,
+                                         Dict[Any, List[TraceRecord]]]] = {}
         self._enabled: Optional[frozenset] = None  # None means "all"
         self._listeners: List[Callable[[TraceRecord], None]] = []
         #: category -> "a record of this category goes somewhere" (stored
@@ -166,17 +171,39 @@ class Tracer:
         """Records of ``category`` whose fields equal all of ``matches``.
 
         Touches only the queried category's records — O(category size),
-        not O(trace size).
+        not O(trace size); a lone ``object=`` match reads the
+        :meth:`by_object` bucket instead.
         """
         bucket = self._by_category.get(category)
         if not bucket:
             return []
         if not matches:
             return list(bucket)
+        if len(matches) == 1 and "object" in matches:
+            return list(self.by_object(category).get(matches["object"], ()))
         return [
             record for record in bucket
             if all(record.get(key) == value for key, value in matches.items())
         ]
+
+    def by_object(self, category: str) -> Dict[Any, List[TraceRecord]]:
+        """``category``'s records bucketed by ``object``, in trace order.
+
+        Records without the field share the ``None`` bucket, as
+        ``select(category, object=None)`` matches them.  Built on first
+        use, then only extended by records stored since; read-only.
+        """
+        bucket = self._by_category.get(category, [])
+        indexed, index = self._by_object.get(category, (0, {}))
+        if indexed < len(bucket):
+            for record in bucket[indexed:]:
+                key = record.fields.get("object")
+                objects = index.get(key)
+                if objects is None:
+                    objects = index[key] = []
+                objects.append(record)
+            self._by_object[category] = (len(bucket), index)
+        return index
 
     def categories(self) -> Dict[str, int]:
         """Histogram of category -> record count (diagnostics)."""
@@ -200,6 +227,7 @@ class Tracer:
     def clear(self) -> None:
         self._records.clear()
         self._by_category.clear()
+        self._by_object.clear()
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)

@@ -272,6 +272,23 @@ def test_no_failover_yields_empty_and_none():
     assert failover_latency(service) is None
 
 
+def test_failover_latencies_pair_within_each_cluster_group():
+    # A cluster-wide trace: g01 crashes after g00 but fails over first.
+    # Pairing across groups would report [0.3, 0.4].
+    service = synthetic_service()
+    ingest_all(service.trace, [
+        TraceRecord(1.0, "server_crash",
+                    {"server": "rtpb/g00@host1", "role": "primary"}),
+        TraceRecord(1.1, "server_crash",
+                    {"server": "rtpb/g01@host2", "role": "primary"}),
+        TraceRecord(1.3, "failover", {"new_primary": "rtpb/g01@host4"}),
+        TraceRecord(1.5, "failover", {"new_primary": "rtpb/g00@host3"}),
+    ])
+    assert failover_latencies(service) == [
+        pytest.approx(0.5), pytest.approx(0.2)]
+    assert failover_latency(service) == pytest.approx(0.5)
+
+
 # ---------------------------------------------------------------------------
 # Tail percentiles and NaN-tolerant stats equality
 # ---------------------------------------------------------------------------

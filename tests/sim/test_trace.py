@@ -129,6 +129,56 @@ def test_indexed_select_matches_scan_semantics():
             == reference_select(trace, "write", object=1, seq=5))
 
 
+def test_object_index_matches_scan_for_every_category():
+    trace = populated_tracer()
+    # Records with no ``object`` field land in the ``None`` bucket.
+    trace.record("write", seq=1)
+    trace.record("ping")
+    for category in ("write", "apply", "ping", "crash", "never_recorded"):
+        index = trace.by_object(category)
+        for obj in list(range(9)) + [None]:
+            expected = reference_select(trace, category, object=obj)
+            assert index.get(obj, []) == expected
+            assert trace.select(category, object=obj) == expected
+    assert trace.by_object("ping")[None] == reference_select(
+        trace, "ping", object=None)
+
+
+def test_multi_key_select_still_scans_after_indexing():
+    trace = populated_tracer()
+    trace.by_object("write")
+    for obj in range(8):
+        for seq in (5, 50):
+            assert (trace.select("write", object=obj, seq=seq)
+                    == reference_select(trace, "write", object=obj, seq=seq))
+
+
+def test_object_index_sees_records_ingested_after_it_was_built():
+    trace = populated_tracer(n=300)
+    before = len(trace.select("write", object=3))
+    trace.ingest(TraceRecord(99.0, "write", {"object": 3}))
+    trace.ingest(TraceRecord(99.5, "write", {"object": 42}))
+    after = trace.select("write", object=3)
+    assert len(after) == before + 1 and after[-1].time == 99.0
+    assert trace.by_object("write")[42] == reference_select(
+        trace, "write", object=42)
+
+
+def test_object_index_is_rebuilt_after_clear():
+    trace = populated_tracer(n=300)
+    trace.by_object("write")
+    count = len(trace)
+    # Same number of records, different contents: a cache keyed on length
+    # alone would hand back the old buckets.
+    trace.clear()
+    for index in range(count):
+        trace.ingest(TraceRecord(float(index), "write", {"object": 100}))
+    assert trace.by_object("write").keys() == {100}
+    assert trace.select("write", object=100) == reference_select(
+        trace, "write", object=100)
+    assert trace.select("write", object=1) == []
+
+
 def test_indexed_digest_byte_identical_to_scan():
     trace = populated_tracer()
     assert trace.digest() == reference_digest(trace)
